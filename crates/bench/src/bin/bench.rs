@@ -5,7 +5,8 @@
 //! ```
 //!
 //! `report` regenerates the quick-scale benchmark snapshots (fig5a,
-//! node-failure, overload — the ones checked into the repository) and
+//! pressure, node-failure, overload — the ones checked into the
+//! repository) and
 //! diffs each against its checked-in `BENCH*.json` in `--dir` (default:
 //! the current directory). Missing baselines are skipped with a note, so
 //! the gate works on partial checkouts.
@@ -81,12 +82,15 @@ fn main() {
     let dir = flag_value("--dir").unwrap_or_else(|| ".".to_string());
 
     // (snapshot file, fresh quick-scale regeneration) — the experiments the
-    // repository pins. BENCH_pressure.json is a side product, not a pinned
-    // baseline, so it is not gated here.
+    // repository pins.
     let mut snapshots: Vec<(&str, String)> = vec![
         (
             "BENCH.json",
             experiments::fig5a_observed(Scale::Quick).bench_json,
+        ),
+        (
+            "BENCH_pressure.json",
+            pressure::pressure(Scale::Quick).bench_json,
         ),
         (
             "BENCH_node_failure.json",

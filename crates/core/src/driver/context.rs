@@ -1,7 +1,11 @@
 //! Per-query pipeline state ([`QueryContext`]) and the public per-stage
 //! instrumentation ([`QueryTrace`]) every [`super::QueryOutcome`] carries.
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use deepsea_engine::plan::LogicalPlan;
+use deepsea_relation::Table;
 use serde::{ObjectBuilder, Serialize, Value};
 
 use crate::filter_tree::ViewId;
@@ -445,6 +449,11 @@ pub(crate) struct QueryContext {
     pub(crate) new_cands: Vec<ViewId>,
     /// The materialization/eviction plan chosen by selection.
     pub(crate) selection: SelectionResult,
+    /// Content of the views selection chose to create, by view: tapped
+    /// from the executed plan, or recomputed once by materialization when
+    /// the view's plan was not part of it. A `BTreeMap` because it sits on
+    /// the decision path, where hash order must never leak.
+    pub(crate) taps: BTreeMap<ViewId, Arc<Table>>,
     /// Accumulated I/O of performed materializations.
     pub(crate) charge: CreationCharge,
     /// Simulated execution seconds of `qbest`.
@@ -477,6 +486,7 @@ impl QueryContext {
             hits: Vec::new(),
             new_cands: Vec::new(),
             selection: SelectionResult::default(),
+            taps: BTreeMap::new(),
             charge: CreationCharge::default(),
             query_secs: 0.0,
             creation_secs: 0.0,

@@ -5,8 +5,8 @@ use super::*;
 use crate::interval::Interval;
 use crate::policy::{PartitionPolicy, ValueModel};
 use deepsea_engine::exec::ExecError;
-use deepsea_engine::plan::AggExpr;
 use deepsea_engine::plan::LogicalPlan;
+use deepsea_engine::plan::{AggExpr, AggFunc};
 use deepsea_relation::generate::{ColumnGen, TableGen};
 use deepsea_relation::{DataType, Field, Predicate, Schema};
 
@@ -490,63 +490,220 @@ fn quarantined_views_rematerialize_when_hot() {
     assert!(reused_again, "rebuilt views must serve rewritings again");
 }
 
+/// A `SimBackend` decorator that counts executions, tapped or not.
+struct CountingBackend {
+    inner: SimBackend,
+    calls: Arc<std::sync::atomic::AtomicUsize>,
+}
+
+impl CountingBackend {
+    fn new(calls: &Arc<std::sync::atomic::AtomicUsize>) -> Self {
+        Self {
+            inner: SimBackend::new(ClusterSim::paper_default()),
+            calls: Arc::clone(calls),
+        }
+    }
+
+    fn count(&self) {
+        self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+    }
+}
+
+impl ExecutionBackend for CountingBackend {
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        self.count();
+        self.inner.execute(plan, catalog, fs)
+    }
+    fn execute_tapped(
+        &self,
+        plan: &LogicalPlan,
+        taps: &[&LogicalPlan],
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<deepsea_engine::exec::Tapped, ExecError> {
+        self.count();
+        self.inner.execute_tapped(plan, taps, catalog, fs)
+    }
+    fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
+        self.inner.elapsed_secs(metrics)
+    }
+    fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
+        self.inner.scan_secs(bytes, block_bytes)
+    }
+    fn write_secs(&self, bytes: u64, files: u64) -> f64 {
+        self.inner.write_secs(bytes, files)
+    }
+    fn cluster(&self) -> &ClusterSim {
+        self.inner.cluster()
+    }
+}
+
+/// The same count through a decorator that forwards `execute` only, so the
+/// trait's default `execute_tapped` taps nothing and every view is
+/// recomputed from its plan.
+struct UntappedBackend(CountingBackend);
+
+impl ExecutionBackend for UntappedBackend {
+    fn execute(
+        &self,
+        plan: &LogicalPlan,
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        self.0.execute(plan, catalog, fs)
+    }
+    fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
+        self.0.elapsed_secs(metrics)
+    }
+    fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
+        self.0.scan_secs(bytes, block_bytes)
+    }
+    fn write_secs(&self, bytes: u64, files: u64) -> f64 {
+        self.0.write_secs(bytes, files)
+    }
+    fn cluster(&self) -> &ClusterSim {
+        self.0.cluster()
+    }
+}
+
+fn counted_ds(backend: Box<dyn ExecutionBackend>, config: DeepSeaConfig) -> DeepSea {
+    let fs = Arc::new(SimFs::new(
+        BlockConfig::default(),
+        ClusterSim::paper_default().weights,
+    ));
+    DeepSea::with_backend(Arc::new(catalog(2000)), fs, backend, config)
+}
+
 #[test]
 fn custom_backend_is_used_for_execution() {
     use std::sync::atomic::{AtomicUsize, Ordering};
-
-    /// A SimBackend wrapper that counts executions — proves the driver goes
-    /// through the trait object, not the free `execute` function.
-    struct CountingBackend {
-        inner: SimBackend,
-        calls: Arc<AtomicUsize>,
-    }
-
-    impl ExecutionBackend for CountingBackend {
-        fn execute(
-            &self,
-            plan: &LogicalPlan,
-            catalog: &Catalog,
-            fs: &SimFs<Table>,
-        ) -> Result<(Table, ExecMetrics), ExecError> {
-            self.calls.fetch_add(1, Ordering::SeqCst);
-            self.inner.execute(plan, catalog, fs)
-        }
-        fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
-            self.inner.elapsed_secs(metrics)
-        }
-        fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
-            self.inner.scan_secs(bytes, block_bytes)
-        }
-        fn write_secs(&self, bytes: u64, files: u64) -> f64 {
-            self.inner.write_secs(bytes, files)
-        }
-        fn cluster(&self) -> &ClusterSim {
-            self.inner.cluster()
-        }
-    }
-
-    let cluster = ClusterSim::paper_default();
-    let fs = Arc::new(SimFs::new(BlockConfig::default(), cluster.weights));
+    // Proves the driver goes through the trait object, not the free
+    // `execute` function.
     let calls = Arc::new(AtomicUsize::new(0));
-    let backend = Box::new(CountingBackend {
-        inner: SimBackend::new(cluster),
-        calls: Arc::clone(&calls),
-    });
-    let mut d = DeepSea::with_backend(
-        Arc::new(catalog(2000)),
-        fs,
-        backend,
+    let mut d = counted_ds(
+        Box::new(CountingBackend::new(&calls)),
         DeepSeaConfig::default().with_min_fragment_bytes(1),
     );
     let out = d.process_query(&query(400, 600)).unwrap();
     assert!(!out.materialized.is_empty());
-    // The first materializing query executes the chosen plan plus at least
-    // one view computation — all through the trait object.
-    assert!(
-        calls.load(Ordering::SeqCst) >= 2,
-        "driver must execute via the backend: {} calls",
-        calls.load(Ordering::SeqCst)
-    );
+    // The first materializing query executes the chosen plan once, through
+    // the trait object, and builds its views from that execution's taps.
+    assert_eq!(calls.load(Ordering::SeqCst), 1);
+}
+
+/// A mixed stream on the star schema — the aggregate shape, its join
+/// subplan, and a join-free aggregate — over drifting ranges: whole views,
+/// initial fragments, refinements, reuse, and (under a tight pool)
+/// eviction churn.
+fn mixed_stream() -> Vec<LogicalPlan> {
+    (0..40i64)
+        .map(|i| {
+            let lo = (i * 137) % 700;
+            let hi = lo + 60 + (i % 4) * 40;
+            match i % 4 {
+                1 => LogicalPlan::scan("fact")
+                    .join(LogicalPlan::scan("dim"), vec![("fact.k", "dim.k")])
+                    .select(Predicate::range("fact.k", lo, hi))
+                    .project(vec!["dim.label", "fact.v"]),
+                3 => LogicalPlan::scan("fact")
+                    .select(Predicate::range("fact.k", lo, hi))
+                    .aggregate(
+                        vec!["fact.k"],
+                        vec![AggExpr::of(AggFunc::Sum, "fact.v", "total")],
+                    ),
+                _ => query(lo, hi),
+            }
+        })
+        .collect()
+}
+
+/// Everything a run leaves behind that must not depend on how views are
+/// computed: per-query elapsed bits, answers and materializations, the
+/// registry digest, and the journal.
+fn counted_run(
+    backend: Box<dyn ExecutionBackend>,
+    config: DeepSeaConfig,
+) -> (Vec<String>, u64, Vec<String>) {
+    let journal = Arc::new(crate::durability::CatalogJournal::new());
+    let mut d = counted_ds(backend, config).with_journal(Arc::clone(&journal));
+    let per_query = mixed_stream()
+        .iter()
+        .map(|q| {
+            let out = d.process_query(q).unwrap();
+            format!(
+                "{:x} {:?} {:?} {:?} {:?}",
+                out.elapsed_secs.to_bits(),
+                out.result.fingerprint(),
+                out.used_view,
+                out.materialized,
+                out.evicted,
+            )
+        })
+        .collect();
+    let (snapshot, records) = journal.replay();
+    let mut log: Vec<String> = records.iter().map(|r| format!("{r:?}")).collect();
+    if let Some((lsn, snap)) = snapshot {
+        log.push(format!(
+            "snapshot {lsn:?} {:x}",
+            snap.registry.state_digest()
+        ));
+    }
+    (per_query, d.registry().state_digest(), log)
+}
+
+#[test]
+fn each_query_executes_once_and_recompute_fallback_is_equivalent() {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    let configs = [
+        DeepSeaConfig::default().with_min_fragment_bytes(1),
+        // Pools far below the candidate views: eviction churn.
+        DeepSeaConfig::default()
+            .with_smax(60_000_000_000)
+            .with_min_fragment_bytes(1),
+        DeepSeaConfig::default()
+            .with_smax(20_000_000_000)
+            .with_min_fragment_bytes(1),
+    ];
+    for config in configs {
+        // Tapped: one backend execution per query, materializations included.
+        let calls = Arc::new(AtomicUsize::new(0));
+        let journal = Arc::new(crate::durability::CatalogJournal::new());
+        let mut d =
+            counted_ds(Box::new(CountingBackend::new(&calls)), config).with_journal(journal);
+        let mut materialized = 0;
+        for (i, q) in mixed_stream().iter().enumerate() {
+            let before = calls.load(Ordering::SeqCst);
+            let out = d.process_query(q).unwrap();
+            materialized += out.materialized.len();
+            assert_eq!(
+                calls.load(Ordering::SeqCst) - before,
+                1,
+                "query {i} executed more than once (materialized {:?})",
+                out.materialized
+            );
+        }
+        assert!(materialized > 0, "the stream must materialize something");
+
+        // The recompute path yields the same run, bit for bit.
+        let tapped = counted_run(Box::new(CountingBackend::new(&calls)), config);
+        let untapped_calls = Arc::new(AtomicUsize::new(0));
+        let untapped = counted_run(
+            Box::new(UntappedBackend(CountingBackend::new(&untapped_calls))),
+            config,
+        );
+        assert_eq!(tapped.0, untapped.0, "per-query outcomes");
+        assert_eq!(tapped.1, untapped.1, "state_digest");
+        assert_eq!(tapped.2, untapped.2, "journal records");
+        assert!(
+            untapped_calls.load(Ordering::SeqCst) > mixed_stream().len(),
+            "without taps the views are recomputed"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,9 @@
 //! Stage 6 of Algorithm 1, write side: materialize the views and fragments
-//! selection chose, as a by-product of the running query. Only the
-//! write/repartition overhead is charged to the query (§7.2), as one
-//! combined instrumented MapReduce job.
+//! selection chose, as a by-product of the running query. A view's content
+//! is the intermediate result `stage_execute` tapped from the executed plan;
+//! only when the view's plan was not part of that plan is it computed here.
+//! Either way only the write/repartition overhead is charged to the query
+//! (§7.2), as one combined instrumented MapReduce job.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -19,7 +21,6 @@ use crate::matching::partition_matching;
 use crate::policy::PartitionPolicy;
 use crate::registry::PartitionState;
 use crate::selection::{apply_size_bounds, equi_depth_intervals, CandidateKind};
-use crate::stats::LogicalTime;
 
 use super::super::context::{CreationCharge, QueryContext};
 use super::super::DeepSea;
@@ -31,24 +32,18 @@ impl DeepSea {
     /// Materialize everything selection planned, accumulating the I/O into
     /// `ctx.charge` and the written names into `ctx.materialized`.
     pub(crate) fn stage_materialize(&mut self, ctx: &mut QueryContext) -> Result<(), ExecError> {
-        // Views computed once per query for multi-fragment materialization.
-        // BTreeMap (not HashMap): this cache sits on the decision path, and
-        // the D1 lint bans hash collections there — any future iteration
-        // would depend on hash order and break bit-identical replay.
-        let mut view_cache: BTreeMap<ViewId, Arc<Table>> = BTreeMap::new();
         let to_create = ctx.selection.to_create.clone();
         for item in &to_create {
-            let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = &item.kind;
-            let vid = *vid;
+            let vid = item.kind.view();
             // A view quarantined earlier in this query (e.g. by the execution
             // fallback) has nothing trustworthy to build on.
             if self.registry.view(vid).is_quarantined() {
                 continue;
             }
             let res = match &item.kind {
-                CandidateKind::WholeView(vid) => self.materialize_view(*vid, ctx.tnow),
+                CandidateKind::WholeView(vid) => self.materialize_view(*vid, &mut ctx.taps),
                 CandidateKind::Fragment(vid, attr, fid) => self
-                    .materialize_fragment(*vid, attr, *fid, &mut view_cache)
+                    .materialize_fragment(*vid, attr, *fid, &mut ctx.taps)
                     .map(|opt| match opt {
                         Some((c, desc)) => (c, vec![desc]),
                         None => (CreationCharge::default(), Vec::new()),
@@ -106,12 +101,32 @@ impl DeepSea {
         ctx.trace.recovery.penalty_secs += charge.penalty_secs;
     }
 
+    /// The content of view `vid`: its tap, or else its plan run from base
+    /// tables and kept in `taps` for the view's further fragments. A view's
+    /// plan reads base tables only, so the recompute touches no fragment
+    /// file; like the tap, it is not charged (creation pays its write side
+    /// only, §7.2).
+    fn view_content(
+        &self,
+        vid: ViewId,
+        taps: &mut BTreeMap<ViewId, Arc<Table>>,
+    ) -> Result<Arc<Table>, ExecError> {
+        if let Some(table) = taps.get(&vid) {
+            return Ok(Arc::clone(table));
+        }
+        let plan = &self.registry.view(vid).plan;
+        let (table, _) = self.backend.execute(plan, &self.catalog, &self.fs)?;
+        let table = Arc::new(table);
+        taps.insert(vid, Arc::clone(&table));
+        Ok(table)
+    }
+
     /// Materialize a view (whole or initially partitioned). Returns the
     /// creation overhead in seconds and descriptions of what was written.
     fn materialize_view(
         &mut self,
         vid: ViewId,
-        _tnow: LogicalTime,
+        taps: &mut BTreeMap<ViewId, Arc<Table>>,
     ) -> Result<(CreationCharge, Vec<String>), ExecError> {
         let (plan, name, key) = {
             let v = self.registry.view(vid);
@@ -120,10 +135,7 @@ impl DeepSea {
             }
             (v.plan.clone(), v.name.clone(), v.key.clone())
         };
-        // Compute the view's content. In the real system this is a by-product
-        // of the instrumented query's execution, so only the *write* side is
-        // charged below.
-        let (table, _compute_metrics) = self.backend.execute(&plan, &self.catalog, &self.fs)?;
+        let table = self.view_content(vid, taps)?;
         let actual_size = table.sim_bytes();
         let schema = table.schema.clone();
 
@@ -188,6 +200,10 @@ impl DeepSea {
             }
             _ => {
                 let size = table.sim_bytes();
+                // The view is written whole: hand its rows to the file
+                // without a copy when no one else holds them.
+                taps.remove(&vid);
+                let table = Arc::unwrap_or_clone(table);
                 let (file, nodes) =
                     self.create_placed(name.clone(), size, table, &mut charge, replicas);
                 whole_nodes = nodes;
@@ -273,7 +289,7 @@ impl DeepSea {
         vid: ViewId,
         attr: &str,
         fid: FragmentId,
-        view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        taps: &mut BTreeMap<ViewId, Arc<Table>>,
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let overlapping_mode = self.config.partition_policy.overlapping();
         let (name, key, schema, target, sources): (String, String, _, Interval, Vec<SourceFrag>) = {
@@ -307,7 +323,7 @@ impl DeepSea {
                 // No materialized source covers the target (fresh view, or a
                 // fully-evicted region): build the fragment from the view's
                 // plan instead.
-                _ => return self.materialize_fragment_from_plan(vid, attr, fid, view_cache),
+                _ => return self.materialize_fragment_from_plan(vid, attr, fid, taps),
             }
         };
 
@@ -370,7 +386,7 @@ impl DeepSea {
                 split_work.push((*sid, *iv, *size));
             }
         }
-        // BTreeMap for the same D1 reason as `view_cache` above.
+        // BTreeMap: on the decision path hash order must never leak (D1).
         let mut extra_payloads: BTreeMap<FragmentId, Arc<Table>> = BTreeMap::new();
         for (sid, _iv, _size) in &split_work {
             if source_tables.iter().any(|(id, _)| id == sid) {
@@ -547,16 +563,16 @@ impl DeepSea {
         Ok(Some((charge, format!("{name}.{attr}{target}"))))
     }
 
-    /// Build a fragment by computing the view's plan (used for initial
+    /// Build a fragment from the view's content (used for initial
     /// partitioned materialization and for regions whose sources were
-    /// evicted). As with whole-view materialization, the computation happens
-    /// as a by-product of the running query, so only the write is charged.
+    /// evicted). As with whole-view materialization only the write is
+    /// charged.
     fn materialize_fragment_from_plan(
         &mut self,
         vid: ViewId,
         attr: &str,
         fid: FragmentId,
-        view_cache: &mut BTreeMap<ViewId, Arc<Table>>,
+        taps: &mut BTreeMap<ViewId, Arc<Table>>,
     ) -> Result<Option<(CreationCharge, String)>, ExecError> {
         let (plan, name, key, target) = {
             let view = self.registry.view(vid);
@@ -573,15 +589,7 @@ impl DeepSea {
                 frag.interval,
             )
         };
-        let table = match view_cache.get(&vid) {
-            Some(t) => Arc::clone(t),
-            None => {
-                let (t, _metrics) = self.backend.execute(&plan, &self.catalog, &self.fs)?;
-                let t = Arc::new(t);
-                view_cache.insert(vid, Arc::clone(&t));
-                t
-            }
-        };
+        let table = self.view_content(vid, taps)?;
         let schema = table.schema.clone();
         let Some(col_idx) = schema.index_of(attr) else {
             return Ok(None);

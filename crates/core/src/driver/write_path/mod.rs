@@ -18,6 +18,9 @@ pub(crate) mod recover;
 pub(crate) mod selection;
 pub(crate) mod stats;
 
+use std::collections::BTreeMap;
+use std::sync::Arc;
+
 use deepsea_engine::exec::{ExecError, ExecMetrics};
 use deepsea_engine::plan::LogicalPlan;
 use deepsea_obs::DecisionEvent;
@@ -25,6 +28,7 @@ use deepsea_relation::Table;
 use deepsea_storage::FileId;
 
 use crate::durability::{stats_checkpoint, CatalogRecord, CatalogSnapshot};
+use crate::filter_tree::ViewId;
 
 use super::context::QueryContext;
 use super::{DeepSea, JournalDebt, QueryOutcome};
@@ -215,11 +219,24 @@ impl DeepSea {
     /// fragment never costs the whole view. Without a cluster this loop is
     /// the exact PR-2 behaviour: first failure → whole-view quarantine →
     /// base-table fallback.
+    ///
+    /// This is the instrumented execution: every execute taps the plans of
+    /// the views selection chose to create into `ctx.taps`, so
+    /// materialization writes what the query computed instead of running
+    /// those plans again.
     fn stage_execute(
         &mut self,
         plan: &LogicalPlan,
         ctx: &mut QueryContext,
     ) -> Result<(Table, ExecMetrics), ExecError> {
+        let mut to_tap: Vec<ViewId> = ctx
+            .selection
+            .to_create
+            .iter()
+            .map(|item| item.kind.view())
+            .collect();
+        to_tap.sort_unstable();
+        to_tap.dedup();
         // Simulated time burned on failed attempts (exhausted retries,
         // backoff) accumulates across rounds and is charged to the query.
         let mut debt_retries = 0u64;
@@ -229,7 +246,7 @@ impl DeepSea {
             // An open breaker rewrites the decision before any I/O: straight
             // to the base plan, no retries burned on the guarded view.
             self.read_view().breaker_guard(plan, ctx);
-            match self.backend.execute(&ctx.qbest, &self.catalog, &self.fs) {
+            match self.execute_tapping(&ctx.qbest, &to_tap, &mut ctx.taps) {
                 Ok((result, mut metrics)) => {
                     metrics.retries += debt_retries;
                     metrics.penalty_secs += debt_secs;
@@ -296,7 +313,7 @@ impl DeepSea {
                     // The original plan reads only durable base tables, so
                     // this cannot hit another fragment fault.
                     let (result, mut metrics) =
-                        self.backend.execute(plan, &self.catalog, &self.fs)?;
+                        self.execute_tapping(plan, &to_tap, &mut ctx.taps)?;
                     metrics.retries += debt_retries;
                     metrics.penalty_secs += debt_secs;
                     ctx.trace.recovery.retries += metrics.retries as u32;
@@ -307,6 +324,29 @@ impl DeepSea {
                 }
             }
         }
+    }
+
+    /// Execute `plan`, keeping in `taps` the content of each of `views`
+    /// whose plan `plan` computes along the way.
+    fn execute_tapping(
+        &self,
+        plan: &LogicalPlan,
+        views: &[ViewId],
+        taps: &mut BTreeMap<ViewId, Arc<Table>>,
+    ) -> Result<(Table, ExecMetrics), ExecError> {
+        let wanted: Vec<&LogicalPlan> = views
+            .iter()
+            .map(|&vid| &self.registry.view(vid).plan)
+            .collect();
+        let (result, metrics, tapped) =
+            self.backend
+                .execute_tapped(plan, &wanted, &self.catalog, &self.fs)?;
+        for (&vid, table) in views.iter().zip(tapped) {
+            if let Some(table) = table {
+                taps.insert(vid, table);
+            }
+        }
+        Ok((result, metrics))
     }
 
     /// Record a file as offline (every replica on a down node): a temporary,

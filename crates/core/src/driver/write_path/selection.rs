@@ -7,6 +7,7 @@ use std::collections::BTreeSet;
 use deepsea_obs::DecisionEvent;
 
 use crate::filter_tree::ViewId;
+use crate::interval::Interval;
 use crate::matching::partition_matching;
 use crate::mle::fit_normal;
 use crate::policy::{PartitionPolicy, ValueModel};
@@ -211,6 +212,15 @@ impl DeepSea {
                     continue;
                 }
                 let values = vm.fragment_values(ps, view.stats.size, view.stats.cost, tnow, tmax);
+                // The pool partition, listed once for every refinement
+                // candidate below.
+                let mats = ps.materialized();
+                let mat_sizes: Vec<(Interval, u64)> = ps
+                    .fragments
+                    .iter()
+                    .filter(|f| f.is_materialized())
+                    .map(|f| (f.interval, f.size))
+                    .collect();
                 for (frag, phi) in ps.fragments.iter().zip(values) {
                     if frag.is_materialized() {
                         items.push(RankedItem {
@@ -227,7 +237,6 @@ impl DeepSea {
                         // benefit — skip it (the cost-based refinement
                         // decision of §2).
                         let block = self.fs.block_config().block_bytes;
-                        let mats = ps.materialized();
                         let cover_bytes = partition_matching(&frag.interval, &mats).map(|cover| {
                             cover
                                 .iter()
@@ -242,11 +251,10 @@ impl DeepSea {
                         }
                         // COST(Icand) = wwrite·S(Icand) + Σ wread·S(I), here at
                         // cluster-effective rates so the units match benefits.
-                        let read_bytes: u64 = ps
-                            .fragments
+                        let read_bytes: u64 = mat_sizes
                             .iter()
-                            .filter(|f| f.is_materialized() && f.interval.overlaps(&frag.interval))
-                            .map(|f| f.size)
+                            .filter(|(iv, _)| iv.overlaps(&frag.interval))
+                            .map(|(_, size)| size)
                             .sum();
                         let create_cost = if read_bytes == 0 {
                             // Nothing materialized overlaps: the fragment must

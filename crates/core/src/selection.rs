@@ -19,6 +19,14 @@ pub enum CandidateKind {
     Fragment(ViewId, String, FragmentId),
 }
 
+impl CandidateKind {
+    /// The view this candidate belongs to.
+    pub fn view(&self) -> ViewId {
+        let (CandidateKind::WholeView(vid) | CandidateKind::Fragment(vid, _, _)) = self;
+        *vid
+    }
+}
+
 /// One entry of `ALLCAND`.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RankedItem {

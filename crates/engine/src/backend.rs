@@ -17,7 +17,7 @@ use deepsea_storage::{FileId, SimFs};
 
 use crate::catalog::Catalog;
 use crate::cluster::ClusterSim;
-use crate::exec::{self, ExecError, ExecMetrics};
+use crate::exec::{self, ExecError, ExecMetrics, Tapped};
 use crate::plan::LogicalPlan;
 
 /// Executes plans and converts I/O volumes into simulated elapsed seconds.
@@ -25,6 +25,12 @@ use crate::plan::LogicalPlan;
 /// The three pricing methods mirror [`ClusterSim`]: `elapsed_secs` for a full
 /// metric set, `scan_secs`/`write_secs` for the pure read/write jobs the
 /// driver charges when estimating savings and materialization overheads.
+///
+/// A decorator must forward [`ExecutionBackend::execute_tapped`] as well as
+/// `execute`. One that forwards only `execute` stays correct — the default
+/// `execute_tapped` hands back no taps, and the driver then recomputes each
+/// view it materializes from base tables — but it runs every such view's
+/// plan a second time.
 pub trait ExecutionBackend: Send + Sync {
     /// Execute a plan against the catalog and pool, returning the result
     /// table and the instrumented execution metrics.
@@ -34,6 +40,22 @@ pub trait ExecutionBackend: Send + Sync {
         catalog: &Catalog,
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError>;
+
+    /// [`ExecutionBackend::execute`], also handing back the intermediate
+    /// result of each subplan in `taps` (see [`exec::execute_tapped`]), so a
+    /// view computed by the query is built from that result instead of run
+    /// again. A `None` slot only costs the caller a recompute; the default
+    /// returns all `None`.
+    fn execute_tapped(
+        &self,
+        plan: &LogicalPlan,
+        taps: &[&LogicalPlan],
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<Tapped, ExecError> {
+        let (table, metrics) = self.execute(plan, catalog, fs)?;
+        Ok((table, metrics, vec![None; taps.len()]))
+    }
 
     /// Wall-clock seconds for one execution's metrics.
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64;
@@ -219,14 +241,25 @@ impl<B: ExecutionBackend> ExecutionBackend for RetryingBackend<B> {
         catalog: &Catalog,
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError> {
+        let (table, m, _) = self.execute_tapped(plan, &[], catalog, fs)?;
+        Ok((table, m))
+    }
+
+    fn execute_tapped(
+        &self,
+        plan: &LogicalPlan,
+        taps: &[&LogicalPlan],
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<Tapped, ExecError> {
         let mut attempts = 0u32;
         let mut backoff = 0.0f64;
         loop {
-            match self.inner.execute(plan, catalog, fs) {
-                Ok((table, mut m)) => {
+            match self.inner.execute_tapped(plan, taps, catalog, fs) {
+                Ok((table, mut m, tapped)) => {
                     m.retries += attempts as u64;
                     m.penalty_secs += backoff;
-                    return Ok((table, m));
+                    return Ok((table, m, tapped));
                 }
                 // Don't burn the retry budget against a whole-node outage:
                 // when every replica of the failing file is down, the
@@ -335,6 +368,16 @@ impl ExecutionBackend for Box<dyn ExecutionBackend> {
         (**self).execute(plan, catalog, fs)
     }
 
+    fn execute_tapped(
+        &self,
+        plan: &LogicalPlan,
+        taps: &[&LogicalPlan],
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<Tapped, ExecError> {
+        (**self).execute_tapped(plan, taps, catalog, fs)
+    }
+
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
         (**self).elapsed_secs(metrics)
     }
@@ -398,6 +441,16 @@ impl ExecutionBackend for SimBackend {
         fs: &SimFs<Table>,
     ) -> Result<(Table, ExecMetrics), ExecError> {
         exec::execute(plan, catalog, fs)
+    }
+
+    fn execute_tapped(
+        &self,
+        plan: &LogicalPlan,
+        taps: &[&LogicalPlan],
+        catalog: &Catalog,
+        fs: &SimFs<Table>,
+    ) -> Result<Tapped, ExecError> {
+        exec::execute_tapped(plan, taps, catalog, fs)
     }
 
     fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
@@ -717,6 +770,65 @@ mod tests {
             (0, 0.0),
             "permanent failures spend no retry budget"
         );
+    }
+
+    #[test]
+    fn taps_pass_through_the_retry_ladder_and_default_to_none() {
+        // Transient faults on the fragment read: the tapped result comes
+        // from the attempt that succeeded.
+        let cfg = FaultConfig::seeded(11).with_transient_reads(0.5);
+        let (catalog, fs, plan, _) = faulty_view_world(cfg);
+        let policy = RetryPolicy {
+            max_retries: 16,
+            ..RetryPolicy::default()
+        };
+        let backend = RetryingBackend::new(SimBackend::paper_default(), policy);
+        let mut retried = false;
+        for _ in 0..10 {
+            let (t, m, taps) = backend
+                .execute_tapped(&plan, &[&plan], &catalog, &fs)
+                .expect("within budget");
+            retried |= m.retries > 0;
+            let tap = taps[0].as_ref().expect("the root is always present");
+            assert_eq!(tap.fingerprint(), t.fingerprint());
+        }
+        assert!(retried, "seed 11 must exercise retries");
+
+        /// A decorator that forwards `execute` only.
+        struct Plain(SimBackend);
+        impl ExecutionBackend for Plain {
+            fn execute(
+                &self,
+                plan: &LogicalPlan,
+                catalog: &Catalog,
+                fs: &SimFs<Table>,
+            ) -> Result<(Table, ExecMetrics), ExecError> {
+                self.0.execute(plan, catalog, fs)
+            }
+            fn elapsed_secs(&self, metrics: &ExecMetrics) -> f64 {
+                self.0.elapsed_secs(metrics)
+            }
+            fn scan_secs(&self, bytes: u64, block_bytes: u64) -> f64 {
+                self.0.scan_secs(bytes, block_bytes)
+            }
+            fn write_secs(&self, bytes: u64, files: u64) -> f64 {
+                self.0.write_secs(bytes, files)
+            }
+            fn cluster(&self) -> &ClusterSim {
+                self.0.cluster()
+            }
+        }
+        let (sim, catalog, fs) = backend_and_world();
+        let plan = LogicalPlan::scan("t");
+        let boxed: Box<dyn ExecutionBackend> = Box::new(Plain(sim));
+        let (t, m, taps) = boxed
+            .execute_tapped(&plan, &[&plan, &plan], &catalog, &fs)
+            .unwrap();
+        let (t0, m0) = sim.execute(&plan, &catalog, &fs).unwrap();
+        assert_eq!(t.fingerprint(), t0.fingerprint());
+        assert_eq!(m, m0);
+        assert_eq!(taps.len(), 2);
+        assert!(taps.iter().all(Option::is_none), "the default taps nothing");
     }
 
     #[test]

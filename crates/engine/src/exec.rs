@@ -135,6 +135,8 @@ struct Out {
 }
 
 enum Rows {
+    /// A frozen table — a catalog table or a tapped intermediate result —
+    /// whose schema and width are the `Out`'s own.
     Shared(Arc<Table>),
     Owned(Vec<Row>),
 }
@@ -161,6 +163,39 @@ impl Out {
             Rows::Owned(v) => Table::new(self.schema, v, self.bytes_per_row),
         }
     }
+
+    /// Freeze the rows into a shareable table, keeping `self` usable: owned
+    /// rows move into the `Arc` and are read from there on, so no row is
+    /// copied.
+    fn freeze(&mut self) -> Arc<Table> {
+        let table = match &mut self.rows {
+            Rows::Shared(t) => return Arc::clone(t),
+            Rows::Owned(v) => Arc::new(Table::new(
+                self.schema.clone(),
+                std::mem::take(v),
+                self.bytes_per_row,
+            )),
+        };
+        self.rows = Rows::Shared(Arc::clone(&table));
+        table
+    }
+}
+
+/// The intermediate results an execution was asked to hand back: one slot
+/// per requested subplan, filled by the first node structurally equal to it.
+struct Taps<'p> {
+    wanted: &'p [&'p LogicalPlan],
+    got: Vec<Option<Arc<Table>>>,
+}
+
+impl Taps<'_> {
+    fn capture(&mut self, plan: &LogicalPlan, out: &mut Out) {
+        for (want, slot) in self.wanted.iter().zip(&mut self.got) {
+            if slot.is_none() && *want == plan {
+                *slot = Some(out.freeze());
+            }
+        }
+    }
 }
 
 /// Average actual (in-memory serialized) row width, sampled.
@@ -180,9 +215,31 @@ pub fn execute(
     catalog: &Catalog,
     fs: &SimFs<Table>,
 ) -> Result<(Table, ExecMetrics), ExecError> {
+    let (table, m, _) = execute_tapped(plan, &[], catalog, fs)?;
+    Ok((table, m))
+}
+
+/// A result table, its metrics, and one slot per requested tap.
+pub type Tapped = (Table, ExecMetrics, Vec<Option<Arc<Table>>>);
+
+/// [`execute`], also handing back the intermediate result of every subplan
+/// in `taps` that occurs in `plan` (compared structurally; `None` for one
+/// that does not occur). A tapped result is exactly what executing that
+/// subplan on its own returns, and tapping changes neither the main result
+/// nor the metrics: it shares the rows the execution already produced.
+pub fn execute_tapped(
+    plan: &LogicalPlan,
+    taps: &[&LogicalPlan],
+    catalog: &Catalog,
+    fs: &SimFs<Table>,
+) -> Result<Tapped, ExecError> {
     let mut m = ExecMetrics::default();
-    let out = run(plan, catalog, fs, &mut m)?;
-    Ok((out.into_table(), m))
+    let mut t = Taps {
+        wanted: taps,
+        got: vec![None; taps.len()],
+    };
+    let out = run(plan, catalog, fs, &mut m, &mut t)?;
+    Ok((out.into_table(), m, t.got))
 }
 
 fn run(
@@ -190,6 +247,19 @@ fn run(
     catalog: &Catalog,
     fs: &SimFs<Table>,
     m: &mut ExecMetrics,
+    taps: &mut Taps<'_>,
+) -> Result<Out, ExecError> {
+    let mut out = run_node(plan, catalog, fs, m, taps)?;
+    taps.capture(plan, &mut out);
+    Ok(out)
+}
+
+fn run_node(
+    plan: &LogicalPlan,
+    catalog: &Catalog,
+    fs: &SimFs<Table>,
+    m: &mut ExecMetrics,
+    taps: &mut Taps<'_>,
 ) -> Result<Out, ExecError> {
     match plan {
         LogicalPlan::Scan { table } => {
@@ -227,7 +297,7 @@ fn run(
             })
         }
         LogicalPlan::Select { pred, input } => {
-            let child = run(input, catalog, fs, m)?;
+            let child = run(input, catalog, fs, m, taps)?;
             m.rows_processed += child.len() as u64;
             let kept: Vec<Row> = child
                 .rows()
@@ -242,7 +312,7 @@ fn run(
             })
         }
         LogicalPlan::Project { cols, input } => {
-            let child = run(input, catalog, fs, m)?;
+            let child = run(input, catalog, fs, m, taps)?;
             m.rows_processed += child.len() as u64;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
             for n in &names {
@@ -270,8 +340,8 @@ fn run(
             })
         }
         LogicalPlan::Join { left, right, on } => {
-            let l = run(left, catalog, fs, m)?;
-            let r = run(right, catalog, fs, m)?;
+            let l = run(left, catalog, fs, m, taps)?;
+            let r = run(right, catalog, fs, m, taps)?;
             // A repartition join shuffles both inputs.
             m.shuffle_bytes += l.sim_bytes() + r.sim_bytes();
             m.stages += 1;
@@ -349,7 +419,7 @@ fn run(
             aggs,
             input,
         } => {
-            let child = run(input, catalog, fs, m)?;
+            let child = run(input, catalog, fs, m, taps)?;
             m.shuffle_bytes += child.sim_bytes();
             m.stages += 1;
             m.rows_processed += child.len() as u64;
@@ -739,6 +809,75 @@ mod tests {
         assert!(!err.is_transient(), "corruption is never retryable");
         assert_eq!(err.file(), Some(id1));
         assert_eq!(fs.ledger().files_read, 0, "corrupt data is never served");
+    }
+
+    /// `fact ⋈ item` filtered and grouped: every operator kind, with a
+    /// join subtree worth tapping.
+    fn tapped_fixture_plan() -> (LogicalPlan, LogicalPlan, LogicalPlan) {
+        let scan = LogicalPlan::scan("sales");
+        let join = scan
+            .clone()
+            .join(LogicalPlan::scan("item"), vec![("s.item", "i.item")]);
+        let plan = join
+            .clone()
+            .select(Predicate::range("s.item", 1, 3))
+            .project(vec!["i.cat", "s.amount"])
+            .aggregate(
+                vec!["i.cat"],
+                vec![AggExpr::of(AggFunc::Sum, "s.amount", "total")],
+            );
+        (plan, join, scan)
+    }
+
+    fn assert_same_table(tapped: &Table, direct: &Table) {
+        assert_eq!(tapped.fingerprint(), direct.fingerprint());
+        assert_eq!(tapped.rows, direct.rows, "same rows in the same order");
+        assert_eq!(tapped.schema, direct.schema);
+        assert_eq!(tapped.bytes_per_row, direct.bytes_per_row);
+        assert_eq!(tapped.sim_bytes(), direct.sim_bytes());
+    }
+
+    #[test]
+    fn tapped_execution_matches_untapped_and_each_subplan() {
+        let (c, fs) = fixture();
+        let (plan, join, scan) = tapped_fixture_plan();
+        let absent = LogicalPlan::scan("item").select(Predicate::range("i.item", 0, 9));
+        let taps = [&join, &scan, &absent, &join, &plan];
+        let (t, m, got) = execute_tapped(&plan, &taps, &c, &fs).unwrap();
+        let (t0, m0) = execute(&plan, &c, &fs).unwrap();
+        // Main result and metrics are untouched by tapping, bit for bit.
+        assert_same_table(&t, &t0);
+        assert_eq!(m, m0);
+        assert_eq!(m.penalty_secs.to_bits(), m0.penalty_secs.to_bits());
+        assert_eq!(got.len(), taps.len());
+        // Every present subplan equals its own execution; the root tap
+        // equals the main result.
+        for (want, tap) in taps.iter().zip(&got) {
+            if *want == &absent {
+                assert!(tap.is_none(), "a subplan not in the plan yields None");
+                continue;
+            }
+            let tap = tap.as_ref().expect("subplan occurs in the plan");
+            let (direct, _) = execute(want, &c, &fs).unwrap();
+            assert_same_table(tap, &direct);
+        }
+        // The same subplan requested twice shares one frozen table.
+        let (a, b) = (got[0].as_ref().unwrap(), got[3].as_ref().unwrap());
+        assert!(Arc::ptr_eq(a, b), "one intermediate result, shared");
+        // A base-table tap is the catalog's own table, not a copy.
+        let sales = c.get("sales").unwrap();
+        assert!(Arc::ptr_eq(got[1].as_ref().unwrap(), sales));
+    }
+
+    #[test]
+    fn tapped_execution_without_taps_is_execute() {
+        let (c, fs) = fixture();
+        let (plan, ..) = tapped_fixture_plan();
+        let (t, m, got) = execute_tapped(&plan, &[], &c, &fs).unwrap();
+        let (t0, m0) = execute(&plan, &c, &fs).unwrap();
+        assert_same_table(&t, &t0);
+        assert_eq!(m, m0);
+        assert!(got.is_empty());
     }
 
     #[test]

@@ -41,6 +41,6 @@ pub mod subquery;
 pub use backend::{ExecutionBackend, RetryAttempt, RetryPolicy, RetryingBackend, SimBackend};
 pub use catalog::Catalog;
 pub use cluster::ClusterSim;
-pub use exec::{execute, ExecError, ExecMetrics};
+pub use exec::{execute, execute_tapped, ExecError, ExecMetrics};
 pub use plan::{AggExpr, AggFunc, LogicalPlan, ViewScanInfo};
 pub use signature::Signature;
