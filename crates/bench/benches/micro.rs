@@ -1,8 +1,9 @@
 //! Microbenchmarks for DeepSea's hot per-query operations: the matching,
 //! candidate-generation, statistics, and selection code that runs for every
-//! query of a workload (Algorithm 1's non-execution overhead).
+//! query of a workload (Algorithm 1's non-execution overhead), and the
+//! engine operators that answer it, in rows per second.
 
-use criterion::{criterion_group, criterion_main, Criterion};
+use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
 use deepsea_core::candidates::partition_candidates;
@@ -12,10 +13,14 @@ use deepsea_core::interval::Interval;
 use deepsea_core::matching::partition_matching;
 use deepsea_core::mle::{adjusted_hits, fit_normal};
 use deepsea_core::selection::{select_configuration, CandidateKind, RankedItem};
-use deepsea_engine::plan::AggExpr;
+use deepsea_engine::plan::{AggExpr, AggFunc, ViewScanInfo};
 use deepsea_engine::signature::{matches, Signature};
-use deepsea_engine::LogicalPlan;
-use deepsea_relation::Predicate;
+use deepsea_engine::{execute, LogicalPlan};
+use deepsea_relation::{Predicate, Table};
+use deepsea_storage::{BlockConfig, CostWeights, SimFs};
+use deepsea_workload::schema::{BigBenchData, InstanceSize, ItemDistribution};
+use deepsea_workload::sdss::sdss_like_histogram;
+use deepsea_workload::sequences::item_domain;
 
 fn bench_signature(c: &mut Criterion) {
     let plan = LogicalPlan::scan("store_sales")
@@ -110,12 +115,77 @@ fn bench_selection(c: &mut Criterion) {
     });
 }
 
+/// Engine operators on the fig5 "100 GB" instance (SDSS-histogram items,
+/// 4·10⁴ fact rows), each reported in input rows per second.
+fn bench_engine(c: &mut Criterion) {
+    let (lo, hi) = item_domain();
+    let data = BigBenchData::generate(
+        InstanceSize::Gb100,
+        &ItemDistribution::Histogram(sdss_like_histogram(lo, hi)),
+        0xDEE9_5EA0,
+    );
+    let catalog = data.catalog;
+    let rows = |t: &str| catalog.get(t).map_or(0, |t| t.len() as u64);
+    let fs = SimFs::new(BlockConfig::default(), CostWeights::default());
+    let mut g = c.benchmark_group("engine");
+
+    // The fig5 view shape: fact ⋈ item with the range selection above it.
+    let join = LogicalPlan::scan("store_sales").join(
+        LogicalPlan::scan("item"),
+        vec![("store_sales.ss_item_sk", "item.i_item_sk")],
+    );
+    let range = Predicate::range("store_sales.ss_item_sk", 10_000, 12_000);
+    let plan = join.clone().select(range.clone());
+    g.throughput(Throughput::Elements(rows("store_sales") + rows("item")));
+    g.bench_function("join_40k_x_40k_select", |b| {
+        b.iter(|| execute(black_box(&plan), &catalog, &fs).expect("join runs"))
+    });
+
+    // The same selection answered from the view, stored as 30 fragments.
+    let (view, _) = execute(&join, &catalog, &fs).expect("view builds");
+    let per = view.len().div_ceil(30);
+    let files = view
+        .rows
+        .chunks(per)
+        .enumerate()
+        .map(|(i, part)| {
+            let frag = Table::new(view.schema.clone(), part.to_vec(), view.bytes_per_row);
+            fs.create(format!("frag{i}"), frag.sim_bytes(), frag).0
+        })
+        .collect();
+    let plan = LogicalPlan::ViewScan(ViewScanInfo {
+        view_name: "v".into(),
+        files,
+        schema: view.schema.clone(),
+    })
+    .select(range);
+    g.throughput(Throughput::Elements(view.len() as u64));
+    g.bench_function("view_scan_30_fragments_select", |b| {
+        b.iter(|| execute(black_box(&plan), &catalog, &fs).expect("view scan runs"))
+    });
+
+    // A `Str`-keyed aggregate: items per category.
+    let plan = LogicalPlan::scan("item").aggregate(
+        vec!["item.i_category"],
+        vec![
+            AggExpr::count("cnt"),
+            AggExpr::of(AggFunc::Max, "item.i_item_sk", "top"),
+        ],
+    );
+    g.throughput(Throughput::Elements(rows("item")));
+    g.bench_function("aggregate_str_key", |b| {
+        b.iter(|| execute(black_box(&plan), &catalog, &fs).expect("aggregate runs"))
+    });
+    g.finish();
+}
+
 criterion_group!(
     name = micro;
     config = Criterion::default()
         .sample_size(20)
         .warm_up_time(std::time::Duration::from_millis(300))
         .measurement_time(std::time::Duration::from_secs(1));
-    targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection
+    targets = bench_signature, bench_filter_tree, bench_partition_ops, bench_mle, bench_selection,
+        bench_engine
 );
 criterion_main!(micro);

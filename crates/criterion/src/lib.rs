@@ -1,12 +1,14 @@
 //! A minimal micro-benchmark runner exposing the subset of the `criterion`
 //! crate's API this workspace uses (`Criterion::bench_function`, `Bencher::
-//! iter`, `criterion_group!`, `criterion_main!`). The build environment has
+//! iter`, `benchmark_group` with `Throughput::Elements`, `criterion_group!`,
+//! `criterion_main!`). The build environment has
 //! no registry access, so the workspace vendors this stand-in instead of
 //! depending on crates.io.
 //!
 //! Measurement model: after a short warm-up, each sample times a batch of
 //! iterations sized so one sample lasts roughly `measurement_time /
-//! sample_size`; the report prints min / median / max per-iteration time.
+//! sample_size`; the report prints min / median / max per-iteration time,
+//! and for a group with a throughput, elements per second at the median.
 //! No statistical outlier analysis, plots, or baselines.
 
 // The bench harness is the one place wall-clock time is the point; both the
@@ -51,7 +53,24 @@ impl Criterion {
 
     /// Run one named benchmark. `f` receives a [`Bencher`] and is expected
     /// to call [`Bencher::iter`].
-    pub fn bench_function<F>(&mut self, name: &str, mut f: F) -> &mut Self
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        self.run(name, None, f);
+        self
+    }
+
+    /// Start a group of benchmarks sharing a name prefix and a throughput.
+    pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
+        BenchmarkGroup {
+            c: self,
+            name: name.into(),
+            throughput: None,
+        }
+    }
+
+    fn run<F>(&self, name: &str, throughput: Option<Throughput>, mut f: F)
     where
         F: FnMut(&mut Bencher),
     {
@@ -62,9 +81,43 @@ impl Criterion {
             samples_ns: Vec::new(),
         };
         f(&mut b);
-        b.report(name);
+        b.report(name, throughput);
+    }
+}
+
+/// Work done by one iteration, reported as a rate next to the time.
+#[derive(Debug, Clone, Copy)]
+pub enum Throughput {
+    /// Elements (e.g. rows) per iteration, reported per second.
+    Elements(u64),
+}
+
+/// Benchmarks reported as `group/name`, with an optional throughput.
+pub struct BenchmarkGroup<'a> {
+    c: &'a mut Criterion,
+    name: String,
+    throughput: Option<Throughput>,
+}
+
+impl BenchmarkGroup<'_> {
+    /// Set the throughput of the benchmarks that follow.
+    pub fn throughput(&mut self, t: Throughput) -> &mut Self {
+        self.throughput = Some(t);
         self
     }
+
+    /// Run one benchmark of the group; see [`Criterion::bench_function`].
+    pub fn bench_function<F>(&mut self, name: &str, f: F) -> &mut Self
+    where
+        F: FnMut(&mut Bencher),
+    {
+        self.c
+            .run(&format!("{}/{name}", self.name), self.throughput, f);
+        self
+    }
+
+    /// End the group.
+    pub fn finish(self) {}
 }
 
 /// Times closures handed to it by a benchmark function.
@@ -107,7 +160,7 @@ impl Bencher {
         }
     }
 
-    fn report(&self, name: &str) {
+    fn report(&self, name: &str, throughput: Option<Throughput>) {
         if self.samples_ns.is_empty() {
             println!("{name:<40} (no samples — Bencher::iter never called)");
             return;
@@ -117,12 +170,30 @@ impl Bencher {
         let min = sorted[0];
         let median = sorted[sorted.len() / 2];
         let max = sorted[sorted.len() - 1];
+        let rate = match throughput {
+            Some(Throughput::Elements(n)) => {
+                format!("  {} elem/s", fmt_rate(n as f64 * 1e9 / median))
+            }
+            None => String::new(),
+        };
         println!(
-            "{name:<40} [{} {} {}]",
+            "{name:<40} [{} {} {}]{rate}",
             fmt_ns(min),
             fmt_ns(median),
             fmt_ns(max)
         );
+    }
+}
+
+fn fmt_rate(per_s: f64) -> String {
+    if per_s < 1e3 {
+        format!("{per_s:.1}")
+    } else if per_s < 1e6 {
+        format!("{:.2} K", per_s / 1e3)
+    } else if per_s < 1e9 {
+        format!("{:.2} M", per_s / 1e6)
+    } else {
+        format!("{:.2} G", per_s / 1e9)
     }
 }
 
@@ -182,6 +253,24 @@ mod tests {
             ran = true;
         });
         assert!(ran);
+    }
+
+    #[test]
+    fn group_reports_throughput() {
+        let mut c = Criterion::default()
+            .sample_size(2)
+            .warm_up_time(Duration::from_millis(1))
+            .measurement_time(Duration::from_millis(2));
+        let mut g = c.benchmark_group("g");
+        g.throughput(Throughput::Elements(10));
+        let mut ran = false;
+        g.bench_function("smoke", |b| {
+            b.iter(|| std::hint::black_box(1 + 1));
+            ran = true;
+        });
+        g.finish();
+        assert!(ran);
+        assert_eq!(fmt_rate(2_500_000.0), "2.50 M");
     }
 
     #[test]

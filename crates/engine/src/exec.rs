@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::sync::Arc;
 
 use deepsea_relation::row::row_width;
@@ -14,6 +15,7 @@ use deepsea_relation::{DataType, Field, Row, Schema, Table, Value};
 use deepsea_storage::{FileId, IoError, SimFs};
 
 use crate::catalog::Catalog;
+use crate::fxhash::FxBuildHasher;
 use crate::plan::{AggFunc, LogicalPlan};
 
 /// Simulated resource usage of one query execution.
@@ -127,56 +129,142 @@ impl std::error::Error for ExecError {
     }
 }
 
-/// Intermediate result: schema + rows + the simulated width of one row.
-struct Out {
-    schema: Schema,
-    rows: Rows,
-    bytes_per_row: u64,
+/// A row of one slot of an intermediate result: the index of the part
+/// (table) it lives in, in the high 32 bits, and its row in that part.
+type RowId = u64;
+
+fn row_id(part: usize, row: usize) -> RowId {
+    ((part as u64) << 32) | row as u64
 }
 
-enum Rows {
-    /// A frozen table — a catalog table or a tapped intermediate result —
-    /// whose schema and width are the `Out`'s own.
-    Shared(Arc<Table>),
-    Owned(Vec<Row>),
+/// Intermediate result, late-materialized: references to rows of shared
+/// tables, not rows. Rows are built only where a result leaves the engine —
+/// the root, a tap, an aggregate's output.
+///
+/// Every input relation a result draws on is a *slot*: the tables its rows
+/// come from (one table, or one per fragment of a view scan). A result row
+/// is a tuple of one [`RowId`] per slot, and each output column reads one
+/// column of one slot.
+struct Out {
+    schema: Schema,
+    /// Simulated width of one row.
+    bytes_per_row: u64,
+    /// Per slot, the shared tables its rows live in.
+    slots: Vec<Vec<Arc<Table>>>,
+    /// Per output column: (slot, column of that slot's tables).
+    cols: Vec<(usize, usize)>,
+    /// The selection: one `slots.len()`-tuple of row ids per row, in
+    /// output order, flattened.
+    ids: Vec<RowId>,
+}
+
+/// One column of an [`Out`], resolved once for reads row after row.
+#[derive(Clone, Copy)]
+struct Col<'a> {
+    parts: &'a [Arc<Table>],
+    slot: usize,
+    col: usize,
+}
+
+impl<'a> Col<'a> {
+    fn get(&self, tuple: &[RowId]) -> &'a Value {
+        let id = tuple[self.slot];
+        &self.parts[(id >> 32) as usize].rows[id as u32 as usize][self.col]
+    }
 }
 
 impl Out {
-    fn rows(&self) -> &[Row] {
-        match &self.rows {
-            Rows::Shared(t) => &t.rows,
-            Rows::Owned(v) => v,
+    /// All rows of `table`, under its own schema and width.
+    fn table(table: Arc<Table>) -> Out {
+        Out {
+            schema: table.schema.clone(),
+            bytes_per_row: table.bytes_per_row,
+            cols: (0..table.schema.len()).map(|c| (0, c)).collect(),
+            ids: (0..table.len()).map(|r| row_id(0, r)).collect(),
+            slots: vec![vec![table]],
         }
     }
 
+    fn width(&self) -> usize {
+        self.slots.len()
+    }
+
     fn len(&self) -> usize {
-        self.rows().len()
+        self.ids.len() / self.width()
     }
 
     fn sim_bytes(&self) -> u64 {
         self.len() as u64 * self.bytes_per_row
     }
 
-    fn into_table(self) -> Table {
-        match self.rows {
-            Rows::Shared(t) => Table::new(self.schema, t.rows.clone(), self.bytes_per_row),
-            Rows::Owned(v) => Table::new(self.schema, v, self.bytes_per_row),
+    fn tuples(&self) -> std::slice::ChunksExact<'_, RowId> {
+        self.ids.chunks_exact(self.width())
+    }
+
+    fn tuple(&self, r: usize) -> &[RowId] {
+        let w = self.width();
+        &self.ids[r * w..(r + 1) * w]
+    }
+
+    fn col(&self, c: usize) -> Col<'_> {
+        let (slot, col) = self.cols[c];
+        Col {
+            parts: &self.slots[slot],
+            slot,
+            col,
         }
     }
 
-    /// Freeze the rows into a shareable table, keeping `self` usable: owned
-    /// rows move into the `Arc` and are read from there on, so no row is
-    /// copied.
-    fn freeze(&mut self) -> Arc<Table> {
-        let table = match &mut self.rows {
-            Rows::Shared(t) => return Arc::clone(t),
-            Rows::Owned(v) => Arc::new(Table::new(
-                self.schema.clone(),
-                std::mem::take(v),
-                self.bytes_per_row,
-            )),
+    fn all_cols(&self) -> Vec<Col<'_>> {
+        (0..self.cols.len()).map(|c| self.col(c)).collect()
+    }
+
+    /// The table this result is, unchanged — every row in order under the
+    /// table's own schema and width — if it is one.
+    fn whole_table(&self) -> Option<&Arc<Table>> {
+        let [parts] = self.slots.as_slice() else {
+            return None;
         };
-        self.rows = Rows::Shared(Arc::clone(&table));
+        let [t] = parts.as_slice() else {
+            return None;
+        };
+        let same_cols = self.cols.len() == t.schema.len()
+            && self.cols.iter().enumerate().all(|(i, &c)| c == (0, i));
+        let same_rows = self.ids.len() == t.len()
+            && self
+                .ids
+                .iter()
+                .enumerate()
+                .all(|(r, &id)| id == row_id(0, r));
+        (same_cols && same_rows && self.schema == t.schema && self.bytes_per_row == t.bytes_per_row)
+            .then_some(t)
+    }
+
+    /// Build the rows.
+    fn rows(&self) -> Vec<Row> {
+        let cols = self.all_cols();
+        self.tuples()
+            .map(|t| cols.iter().map(|c| c.get(t).clone()).collect())
+            .collect()
+    }
+
+    fn into_table(self) -> Table {
+        let rows = self.rows();
+        Table::new(self.schema, rows, self.bytes_per_row)
+    }
+
+    /// Build the rows into a shareable table, and read from it from here
+    /// on. A result that already is a whole table is shared, not copied.
+    fn freeze(&mut self) -> Arc<Table> {
+        if let Some(t) = self.whole_table() {
+            return Arc::clone(t);
+        }
+        let table = Arc::new(Table::new(
+            self.schema.clone(),
+            self.rows(),
+            self.bytes_per_row,
+        ));
+        *self = Out::table(Arc::clone(&table));
         table
     }
 }
@@ -198,14 +286,23 @@ impl Taps<'_> {
     }
 }
 
-/// Average actual (in-memory serialized) row width, sampled.
-fn avg_actual_width(rows: &[Row]) -> f64 {
-    if rows.is_empty() {
+/// Average actual (in-memory serialized) width of the first `n` rows,
+/// sampled: at most 128 rows, by `width(r)` of row `r`.
+fn avg_actual_width(n: usize, width: impl Fn(usize) -> u64) -> f64 {
+    if n == 0 {
         return 8.0;
     }
-    let n = rows.len().min(128);
-    let total: u64 = rows[..n].iter().map(row_width).sum();
+    let n = n.min(128);
+    let total: u64 = (0..n).map(width).sum();
     (total as f64 / n as f64).max(1.0)
+}
+
+fn out_width(out: &Out) -> f64 {
+    let cols = out.all_cols();
+    avg_actual_width(out.len(), |r| {
+        let t = out.tuple(r);
+        cols.iter().map(|c| c.get(t).width()).sum()
+    })
 }
 
 /// Execute `plan` against `catalog`, reading view fragments from `fs`.
@@ -226,7 +323,7 @@ pub type Tapped = (Table, ExecMetrics, Vec<Option<Arc<Table>>>);
 /// in `taps` that occurs in `plan` (compared structurally; `None` for one
 /// that does not occur). A tapped result is exactly what executing that
 /// subplan on its own returns, and tapping changes neither the main result
-/// nor the metrics: it shares the rows the execution already produced.
+/// nor the metrics: the operators above a tap read the rows it built.
 pub fn execute_tapped(
     plan: &LogicalPlan,
     taps: &[&LogicalPlan],
@@ -270,14 +367,11 @@ fn run_node(
             m.map_tasks += fs.block_config().blocks_for(t.sim_bytes());
             m.stages += 1;
             m.rows_processed += t.len() as u64;
-            Ok(Out {
-                schema: t.schema.clone(),
-                bytes_per_row: t.bytes_per_row,
-                rows: Rows::Shared(Arc::clone(t)),
-            })
+            Ok(Out::table(Arc::clone(t)))
         }
         LogicalPlan::ViewScan(v) => {
-            let mut rows: Vec<Row> = Vec::new();
+            let mut parts = Vec::with_capacity(v.files.len());
+            let mut ids = Vec::new();
             let mut bpr = 8u64;
             for &fid in &v.files {
                 let out = fs.try_read(fid).map_err(ExecError::from)?;
@@ -287,56 +381,54 @@ fn run_node(
                 m.map_tasks += fs.block_config().blocks_for(bytes);
                 m.rows_processed += payload.len() as u64;
                 bpr = bpr.max(payload.bytes_per_row);
-                rows.extend(payload.rows.iter().cloned());
+                let p = parts.len();
+                ids.extend((0..payload.len()).map(|r| row_id(p, r)));
+                parts.push(payload);
             }
             m.stages += 1;
             Ok(Out {
                 schema: v.schema.clone(),
-                rows: Rows::Owned(rows),
                 bytes_per_row: bpr,
+                cols: (0..v.schema.len()).map(|c| (0, c)).collect(),
+                ids,
+                slots: vec![parts],
             })
         }
         LogicalPlan::Select { pred, input } => {
             let child = run(input, catalog, fs, m, taps)?;
             m.rows_processed += child.len() as u64;
-            let kept: Vec<Row> = child
-                .rows()
-                .iter()
-                .filter(|r| pred.eval(&child.schema, r))
-                .cloned()
-                .collect();
-            Ok(Out {
-                schema: child.schema,
-                bytes_per_row: child.bytes_per_row,
-                rows: Rows::Owned(kept),
-            })
+            let pred = pred.bind(&child.schema);
+            let cols = child.all_cols();
+            let mut ids = Vec::new();
+            for t in child.tuples() {
+                if pred.eval_with(|c| cols[c].get(t)) {
+                    ids.extend_from_slice(t);
+                }
+            }
+            Ok(Out { ids, ..child })
         }
         LogicalPlan::Project { cols, input } => {
             let child = run(input, catalog, fs, m, taps)?;
             m.rows_processed += child.len() as u64;
             let names: Vec<&str> = cols.iter().map(String::as_str).collect();
-            for n in &names {
-                if child.schema.index_of(n).is_none() {
-                    return Err(ExecError::UnknownColumn((*n).to_string()));
-                }
-            }
-            let (schema, idxs) = child.schema.project(&names);
-            let in_width = avg_actual_width(child.rows());
-            let rows: Vec<Row> = child
-                .rows()
-                .iter()
-                .map(|r| idxs.iter().map(|&i| r[i].clone()).collect())
-                .collect();
-            let out_width = avg_actual_width(&rows);
+            let (schema, idxs) = child.schema.project(&names).ok_or_else(|| {
+                let unknown = names.iter().find(|n| child.schema.index_of(n).is_none());
+                ExecError::UnknownColumn(unknown.copied().unwrap_or_default().to_string())
+            })?;
+            let in_width = out_width(&child);
+            let out = Out {
+                schema,
+                cols: idxs.iter().map(|&i| child.cols[i]).collect(),
+                ..child
+            };
             // Keep the simulated-bytes scale of the input: a projection keeps
             // the same fraction of simulated width as of actual width.
-            let bpr = ((child.bytes_per_row as f64) * (out_width / in_width))
+            let bpr = ((out.bytes_per_row as f64) * (out_width(&out) / in_width))
                 .round()
                 .max(1.0) as u64;
             Ok(Out {
-                schema,
-                rows: Rows::Owned(rows),
                 bytes_per_row: bpr,
+                ..out
             })
         }
         LogicalPlan::Join { left, right, on } => {
@@ -370,48 +462,25 @@ fn run_node(
             }
 
             // Build on the smaller input.
-            let (build, probe, build_keys, probe_keys, build_is_left) = if l.len() <= r.len() {
-                (&l, &r, &lk, &rk, true)
+            let ids = if l.len() <= r.len() {
+                hash_join(&l, &lk, &r, &rk, true)
             } else {
-                (&r, &l, &rk, &lk, false)
+                hash_join(&r, &rk, &l, &lk, false)
             };
-            // deepsea-lint: allow(hash_iter) -- join build table: probed per
-            // row, never iterated; output order follows the probe side scan.
-            let mut ht: HashMap<Vec<Value>, Vec<usize>> = HashMap::with_capacity(build.len());
-            for (i, row) in build.rows().iter().enumerate() {
-                let key: Vec<Value> = build_keys.iter().map(|&k| row[k].clone()).collect();
-                if key.contains(&Value::Null) {
-                    continue; // NULL never joins
-                }
-                ht.entry(key).or_default().push(i);
-            }
+            let n = ids.len() / (l.width() + r.width());
+            m.rows_processed += n as u64;
+            let shift = l.width();
             let schema = l.schema.concat(&r.schema);
-            let mut rows: Vec<Row> = Vec::new();
-            for prow in probe.rows() {
-                let key: Vec<Value> = probe_keys.iter().map(|&k| prow[k].clone()).collect();
-                if key.contains(&Value::Null) {
-                    continue;
-                }
-                if let Some(idxs) = ht.get(&key) {
-                    for &bi in idxs {
-                        let brow = &build.rows()[bi];
-                        let mut out: Row = Vec::with_capacity(schema.len());
-                        if build_is_left {
-                            out.extend(brow.iter().cloned());
-                            out.extend(prow.iter().cloned());
-                        } else {
-                            out.extend(prow.iter().cloned());
-                            out.extend(brow.iter().cloned());
-                        }
-                        rows.push(out);
-                    }
-                }
-            }
-            m.rows_processed += rows.len() as u64;
+            let mut slots = l.slots;
+            slots.extend(r.slots);
+            let mut cols = l.cols;
+            cols.extend(r.cols.iter().map(|&(s, c)| (s + shift, c)));
             Ok(Out {
                 schema,
-                rows: Rows::Owned(rows),
                 bytes_per_row: l.bytes_per_row + r.bytes_per_row,
+                slots,
+                cols,
+                ids,
             })
         }
         LogicalPlan::Aggregate {
@@ -445,24 +514,27 @@ fn run_node(
                 })
                 .collect::<Result<_, _>>()?;
 
-            // deepsea-lint: allow(hash_iter) -- aggregation states keyed by
-            // group; drained below into rows that are then sorted.
-            let mut groups: HashMap<Vec<Value>, Vec<AggState>> = HashMap::new();
-            for row in child.rows() {
-                let key: Vec<Value> = gidx.iter().map(|&i| row[i].clone()).collect();
-                let states = groups
-                    .entry(key)
-                    .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
-                for (s, idx) in states.iter_mut().zip(&aidx) {
-                    s.update(idx.map(|i| &row[i]));
+            let keys: Vec<Col<'_>> = gidx.iter().map(|&i| child.col(i)).collect();
+            let args: Vec<Option<Col<'_>>> = aidx.iter().map(|i| i.map(|i| child.col(i))).collect();
+            let new_states = || aggs.iter().map(|a| AggState::new(a.func)).collect();
+            // Groups in first-seen order: the key, cloned once, and the
+            // states.
+            let mut groups: Vec<(Row, Vec<AggState>)> = Vec::new();
+            let mut index = KeyIds::default();
+            for t in child.tuples() {
+                let g = *index.entry(Key::new(&keys, t)).or_insert_with(|| {
+                    let key = keys.iter().map(|c| c.get(t).clone()).collect();
+                    groups.push((key, new_states()));
+                    groups.len() as u32 - 1
+                });
+                let states = &mut groups[g as usize].1;
+                for (s, arg) in states.iter_mut().zip(&args) {
+                    s.update(arg.map(|c| c.get(t)));
                 }
             }
             // Global aggregation over empty input still yields one row.
             if gidx.is_empty() && groups.is_empty() {
-                groups.insert(
-                    Vec::new(),
-                    aggs.iter().map(|a| AggState::new(a.func)).collect(),
-                );
+                groups.push((Vec::new(), new_states()));
             }
 
             let mut fields: Vec<Field> = gidx
@@ -480,12 +552,9 @@ fn run_node(
                 fields.push(Field::new(a.alias.clone(), dtype));
             }
             let schema = Schema::new(fields);
-            // deepsea-lint: allow(hash_iter) -- hash order is erased by the
-            // `rows.sort_unstable()` below before anything observes the rows.
             let mut rows: Vec<Row> = groups
                 .into_iter()
-                .map(|(key, states)| {
-                    let mut row = key;
+                .map(|(mut row, states)| {
                     row.extend(states.into_iter().map(AggState::finish));
                     row
                 })
@@ -493,19 +562,176 @@ fn run_node(
             // Deterministic output order for reproducibility.
             rows.sort_unstable();
             m.rows_processed += rows.len() as u64;
-            let out_width = avg_actual_width(&rows);
+            let agg_width = avg_actual_width(rows.len(), |r| row_width(&rows[r]));
             // Aggregates produce compact rows; keep the input's scale factor.
-            let in_width = avg_actual_width(child.rows());
-            let bpr = ((child.bytes_per_row as f64) * (out_width / in_width))
+            let in_width = out_width(&child);
+            let bpr = ((child.bytes_per_row as f64) * (agg_width / in_width))
                 .round()
                 .max(1.0) as u64;
-            Ok(Out {
-                schema,
-                rows: Rows::Owned(rows),
-                bytes_per_row: bpr,
-            })
+            Ok(Out::table(Arc::new(Table::new(schema, rows, bpr))))
         }
     }
+}
+
+/// The key of one row of an [`Out`]: its values in `cols`, read in place.
+/// Keys compare value by value, so a build row's key and a probe row's key,
+/// read through different columns, compare directly.
+#[derive(Clone, Copy)]
+struct Key<'a> {
+    cols: &'a [Col<'a>],
+    tuple: &'a [RowId],
+}
+
+impl<'a> Key<'a> {
+    fn new(cols: &'a [Col<'a>], tuple: &'a [RowId]) -> Self {
+        Key { cols, tuple }
+    }
+
+    fn values(self) -> impl Iterator<Item = &'a Value> {
+        self.cols.iter().map(move |c| c.get(self.tuple))
+    }
+
+    fn has_null(self) -> bool {
+        self.values().any(|v| *v == Value::Null)
+    }
+}
+
+impl PartialEq for Key<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.values().eq(other.values())
+    }
+}
+
+impl Eq for Key<'_> {}
+
+impl Hash for Key<'_> {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.values().for_each(|v| v.hash(state));
+    }
+}
+
+// deepsea-lint: allow(hash_iter) -- key -> dense id, point lookups only (never
+// iterated); ids follow first-seen order, so hash order never reaches output.
+type KeyIds<K> = HashMap<K, u32, FxBuildHasher>;
+
+/// Key id of a row whose key has a NULL, or (probe side) matches no build
+/// row.
+const NO_KEY: u32 = u32::MAX;
+
+/// Inner equi-join of `build` and `probe` on the key columns `bk` = `pk`:
+/// the output tuples (left input's ids first) in probe order, and in build
+/// order within one probe row. A key with a NULL never joins.
+fn hash_join(
+    build: &Out,
+    bk: &[usize],
+    probe: &Out,
+    pk: &[usize],
+    build_is_left: bool,
+) -> Vec<RowId> {
+    let bcols: Vec<Col<'_>> = bk.iter().map(|&c| build.col(c)).collect();
+    let pcols: Vec<Col<'_>> = pk.iter().map(|&c| probe.col(c)).collect();
+    // An `i64` key when it is one column of `Int`s (and NULLs) on both
+    // sides; otherwise a key of values, compared as `Value`s.
+    let int_keys = match (bcols.as_slice(), pcols.as_slice()) {
+        ([b], [p]) => int_key_ids(build, *b, probe, *p),
+        _ => None,
+    };
+    let (keys, build_keys, probe_keys) =
+        int_keys.unwrap_or_else(|| value_key_ids(build, &bcols, probe, &pcols));
+    // Counting sort of the build rows by key id (stable): the rows of key
+    // `k` are `rows[starts[k]..starts[k + 1]]`, in build order.
+    let mut starts = vec![0u32; keys + 1];
+    for &k in build_keys.iter().filter(|&&k| k != NO_KEY) {
+        starts[k as usize + 1] += 1;
+    }
+    for k in 1..starts.len() {
+        starts[k] += starts[k - 1];
+    }
+    let mut next = starts.clone();
+    let mut rows = vec![0u32; starts[keys] as usize];
+    for (i, &k) in build_keys.iter().enumerate().filter(|(_, &k)| k != NO_KEY) {
+        rows[next[k as usize] as usize] = i as u32;
+        next[k as usize] += 1;
+    }
+
+    let mut ids = Vec::new();
+    for (pt, &k) in probe.tuples().zip(&probe_keys) {
+        if k == NO_KEY {
+            continue;
+        }
+        for &b in &rows[starts[k as usize] as usize..starts[k as usize + 1] as usize] {
+            let bt = build.tuple(b as usize);
+            let (lt, rt) = if build_is_left { (bt, pt) } else { (pt, bt) };
+            ids.extend_from_slice(lt);
+            ids.extend_from_slice(rt);
+        }
+    }
+    ids
+}
+
+/// Key ids of the `i64` keys in columns `b` and `p`: the number of distinct
+/// build keys, and the id of every build and probe row's key (ids dense in
+/// first-seen build order). `None` as soon as a value is neither an `Int`
+/// nor NULL.
+fn int_key_ids(
+    build: &Out,
+    b: Col<'_>,
+    probe: &Out,
+    p: Col<'_>,
+) -> Option<(usize, Vec<u32>, Vec<u32>)> {
+    let mut index = KeyIds::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
+    let mut build_ids = Vec::with_capacity(build.len());
+    for t in build.tuples() {
+        build_ids.push(match *b.get(t) {
+            Value::Int(k) => {
+                let next = index.len() as u32;
+                *index.entry(k).or_insert(next)
+            }
+            Value::Null => NO_KEY,
+            _ => return None,
+        });
+    }
+    let mut probe_ids = Vec::with_capacity(probe.len());
+    for t in probe.tuples() {
+        probe_ids.push(match p.get(t) {
+            Value::Int(k) => index.get(k).copied().unwrap_or(NO_KEY),
+            Value::Null => NO_KEY,
+            _ => return None,
+        });
+    }
+    Some((index.len(), build_ids, probe_ids))
+}
+
+/// [`int_key_ids`] for keys of any values, read in place.
+fn value_key_ids(
+    build: &Out,
+    bcols: &[Col<'_>],
+    probe: &Out,
+    pcols: &[Col<'_>],
+) -> (usize, Vec<u32>, Vec<u32>) {
+    let mut index = KeyIds::with_capacity_and_hasher(build.len(), FxBuildHasher::default());
+    let build_ids = build
+        .tuples()
+        .map(|t| {
+            let key = Key::new(bcols, t);
+            if key.has_null() {
+                return NO_KEY;
+            }
+            let next = index.len() as u32;
+            *index.entry(key).or_insert(next)
+        })
+        .collect();
+    let probe_ids = probe
+        .tuples()
+        .map(|t| {
+            let key = Key::new(pcols, t);
+            if key.has_null() {
+                return NO_KEY;
+            }
+            index.get(&key).copied().unwrap_or(NO_KEY)
+        })
+        .collect();
+    (index.len(), build_ids, probe_ids)
 }
 
 /// Streaming aggregate state.
@@ -696,6 +922,48 @@ mod tests {
             LogicalPlan::scan("sales").join(LogicalPlan::scan("item"), vec![("i.item", "s.item")]);
         let (t, _) = execute(&plan, &c, &fs).unwrap();
         assert_eq!(t.len(), 3);
+    }
+
+    #[test]
+    fn join_and_group_keys_follow_value_eq_across_types() {
+        // `Int(1) == Float(1.0)`: such keys join and group together, in
+        // probe order and then build order, whichever key path runs.
+        let (mut c, fs) = fixture();
+        let mixed = Table::new(
+            Schema::new(vec![Field::new("m.k", DataType::Float)]),
+            vec![
+                vec![Value::Float(1.0)],
+                vec![Value::Float(2.5)],
+                vec![Value::Null],
+                vec![Value::Int(1)],
+            ],
+            10,
+        );
+        c.register("mixed", mixed);
+        let plan =
+            LogicalPlan::scan("mixed").join(LogicalPlan::scan("item"), vec![("m.k", "i.item")]);
+        let (t, _) = execute(&plan, &c, &fs).unwrap();
+        // Compared by `Debug`: `Eq` alone cannot tell `Int(1)` from
+        // `Float(1.0)`.
+        let exact = |rows: &[Row]| format!("{rows:?}");
+        assert_eq!(
+            exact(&t.rows),
+            exact(&[
+                vec![Value::Float(1.0), Value::Int(1), Value::str("a")],
+                vec![Value::Int(1), Value::Int(1), Value::str("a")],
+            ])
+        );
+        let plan = LogicalPlan::scan("mixed").aggregate(vec!["m.k"], vec![AggExpr::count("n")]);
+        let (t, _) = execute(&plan, &c, &fs).unwrap();
+        // Groups keep their first key: Float(1.0) absorbs Int(1).
+        assert_eq!(
+            exact(&t.rows),
+            exact(&[
+                vec![Value::Null, Value::Int(1)],
+                vec![Value::Float(1.0), Value::Int(2)],
+                vec![Value::Float(2.5), Value::Int(1)],
+            ])
+        );
     }
 
     #[test]

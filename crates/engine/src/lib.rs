@@ -31,6 +31,7 @@ pub mod cluster;
 pub mod cost;
 pub mod exec;
 pub mod explain;
+mod fxhash;
 pub mod optimize;
 pub mod plan;
 pub mod rewrite;

@@ -17,7 +17,7 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use predicate::Predicate;
+pub use predicate::{BoundPredicate, Predicate};
 pub use row::Row;
 pub use schema::{Field, Schema};
 pub use table::Table;

@@ -69,30 +69,49 @@ impl Predicate {
         for p in preds {
             push(p, &mut flat);
         }
-        match flat.len() {
-            0 => Predicate::True,
-            1 => flat.pop().unwrap(),
-            _ => Predicate::And(flat),
+        if flat.len() > 1 {
+            Predicate::And(flat)
+        } else {
+            flat.pop().unwrap_or(Predicate::True)
         }
     }
 
     /// Evaluate against a row. Unknown columns and NULLs make the conjunct
     /// false (SQL three-valued logic collapsed to false at the top level).
+    ///
+    /// Resolves every column on each call; to evaluate many rows of one
+    /// schema, [`Predicate::bind`] once and evaluate the bound form.
     pub fn eval(&self, schema: &Schema, row: &Row) -> bool {
+        self.bind(schema).eval(row)
+    }
+
+    /// Resolve every column against `schema` once. A conjunct over an
+    /// unknown or ambiguous column binds to one that is always false.
+    pub fn bind(&self, schema: &Schema) -> BoundPredicate {
+        let mut conjuncts = Vec::new();
+        self.bind_into(schema, &mut conjuncts);
+        BoundPredicate { conjuncts }
+    }
+
+    fn bind_into(&self, schema: &Schema, out: &mut Vec<Bound>) {
         match self {
-            Predicate::True => true,
-            Predicate::Range { col, low, high } => match schema.index_of(col) {
-                Some(i) => match row[i].as_int() {
-                    Some(v) => *low <= v && v <= *high,
-                    None => false,
+            Predicate::True => {}
+            Predicate::And(ps) => ps.iter().for_each(|p| p.bind_into(schema, out)),
+            Predicate::Range { col, low, high } => out.push(match schema.index_of(col) {
+                Some(col) => Bound::Range {
+                    col,
+                    low: *low,
+                    high: *high,
                 },
-                None => false,
-            },
-            Predicate::Eq { col, value } => match schema.index_of(col) {
-                Some(i) => row[i] != Value::Null && row[i] == *value,
-                None => false,
-            },
-            Predicate::And(ps) => ps.iter().all(|p| p.eval(schema, row)),
+                None => Bound::Never,
+            }),
+            Predicate::Eq { col, value } => out.push(match schema.index_of(col) {
+                Some(col) if *value != Value::Null => Bound::Eq {
+                    col,
+                    value: value.clone(),
+                },
+                _ => Bound::Never,
+            }),
         }
     }
 
@@ -135,6 +154,40 @@ impl Predicate {
         cols.sort_unstable();
         cols.dedup();
         cols
+    }
+}
+
+/// A [`Predicate`] whose columns are resolved to positions in one schema
+/// (see [`Predicate::bind`]): a conjunction evaluated without name lookups.
+#[derive(Debug, Clone)]
+pub struct BoundPredicate {
+    conjuncts: Vec<Bound>,
+}
+
+#[derive(Debug, Clone)]
+enum Bound {
+    Never,
+    Range { col: usize, low: i64, high: i64 },
+    Eq { col: usize, value: Value },
+}
+
+impl BoundPredicate {
+    /// Evaluate against a row of the bound schema.
+    pub fn eval(&self, row: &Row) -> bool {
+        self.eval_with(|i| &row[i])
+    }
+
+    /// Evaluate against a row given by `value`, which returns the value of
+    /// the bound schema's column `i`; a row need not exist as a [`Row`].
+    pub fn eval_with<'v>(&self, value: impl Fn(usize) -> &'v Value) -> bool {
+        self.conjuncts.iter().all(|c| match c {
+            Bound::Never => false,
+            Bound::Range { col, low, high } => value(*col)
+                .as_int()
+                .is_some_and(|v| *low <= v && v <= *high),
+            // `value` is never NULL here, so a NULL cell never matches.
+            Bound::Eq { col, value: want } => value(*col) == want,
+        })
     }
 }
 
@@ -208,6 +261,47 @@ mod tests {
     fn unknown_column_fails_closed() {
         let p = Predicate::range("nope", 0, 10);
         assert!(!p.eval(&schema(), &vec![Value::Int(5), Value::Null]));
+    }
+
+    #[test]
+    fn bound_eval_is_the_conjunction() {
+        let s = schema();
+        let p = Predicate::and(vec![Predicate::range("a", 1, 3), Predicate::eq("t.b", "x")]);
+        let b = p.bind(&s);
+        for (row, want) in [
+            (vec![Value::Int(2), Value::str("x")], true),
+            (vec![Value::Int(2), Value::str("y")], false),
+            (vec![Value::Int(9), Value::str("x")], false),
+            (vec![Value::Null, Value::str("x")], false),
+            (vec![Value::Int(2), Value::Null], false),
+        ] {
+            assert_eq!(b.eval(&row), want, "{row:?}");
+        }
+        assert!(Predicate::True
+            .bind(&s)
+            .eval(&vec![Value::Null, Value::Null]));
+    }
+
+    #[test]
+    fn bound_unknown_or_ambiguous_column_is_false() {
+        let ambiguous = Schema::new(vec![
+            Field::new("t.a", DataType::Int),
+            Field::new("u.a", DataType::Int),
+        ]);
+        let row = vec![Value::Int(1), Value::Int(1)];
+        assert!(!Predicate::range("a", 0, 9).bind(&ambiguous).eval(&row));
+        assert!(!Predicate::eq("zz", 1).bind(&ambiguous).eval(&row));
+        assert!(Predicate::range("t.a", 0, 9).bind(&ambiguous).eval(&row));
+    }
+
+    #[test]
+    fn eq_null_never_matches() {
+        let s = schema();
+        let p = Predicate::Eq {
+            col: "t.b".into(),
+            value: Value::Null,
+        };
+        assert!(!p.eval(&s, &vec![Value::Int(0), Value::Null]));
     }
 
     #[test]

@@ -117,18 +117,17 @@ impl Ord for Value {
 }
 
 impl std::hash::Hash for Value {
+    /// Agrees with `Eq`: `Int(3) == Float(3.0)`, so every number hashes by
+    /// the bits of its `f64` value, which `total_cmp` equality preserves.
     fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
         match self {
             Value::Null => 0u8.hash(state),
             Value::Int(i) => {
                 1u8.hash(state);
-                i.hash(state);
+                (*i as f64).to_bits().hash(state);
             }
             Value::Float(f) => {
-                // Hash consistent with total_cmp-based Eq for the values we
-                // generate (no -0.0 vs 0.0 mixing in practice); NaNs all hash
-                // alike which is fine for grouping.
-                2u8.hash(state);
+                1u8.hash(state);
                 f.to_bits().hash(state);
             }
             Value::Str(s) => {
@@ -212,6 +211,15 @@ mod tests {
     fn display() {
         assert_eq!(Value::Int(-5).to_string(), "-5");
         assert_eq!(Value::Null.to_string(), "NULL");
+    }
+
+    #[test]
+    fn hash_agrees_with_eq_across_numeric_types() {
+        use std::collections::HashSet;
+        let mut s = HashSet::new();
+        s.insert(Value::Int(3));
+        assert!(s.contains(&Value::Float(3.0)));
+        assert!(!s.contains(&Value::Float(3.5)));
     }
 
     #[test]

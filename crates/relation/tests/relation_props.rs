@@ -17,6 +17,37 @@ fn any_value() -> impl Strategy<Value = Value> {
     ]
 }
 
+/// Values drawn from a small domain so that equal pairs, including
+/// `Int`/`Float` pairs such as `Int(3)`/`Float(3.0)`, are common.
+fn clashing_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        (-4i64..4).prop_map(Value::Int),
+        (-4i64..4).prop_map(|i| Value::Float(i as f64)),
+        (-8i64..8).prop_map(|i| Value::Float(i as f64 / 2.0)),
+        "[ab]{0,2}".prop_map(Value::str),
+    ]
+}
+
+fn hash_of(v: &Value) -> u64 {
+    use std::hash::{Hash, Hasher};
+    let mut h = std::collections::hash_map::DefaultHasher::new();
+    v.hash(&mut h);
+    h.finish()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+
+    /// `Hash` agrees with `Eq`: equal values hash alike, across types.
+    #[test]
+    fn value_hash_agrees_with_eq(a in clashing_value(), b in clashing_value()) {
+        if a == b {
+            prop_assert_eq!(hash_of(&a), hash_of(&b), "{:?} == {:?}", a, b);
+        }
+    }
+}
+
 proptest! {
     /// The Value ordering is a total order: antisymmetric and transitive on
     /// sampled triples, and consistent with equality.
